@@ -1,9 +1,12 @@
 """E16 — simulator throughput (library performance, not a paper artifact).
 
 pytest-benchmark timings for the core simulators across instance sizes.  The
-analytic paths are event-driven (O(n^2) worst case from the per-event weight
-sum and the prefix shadow runs), so a 200-job stream should simulate in
-milliseconds — this bench is the regression guard for that.
+analytic paths are event-driven: Algorithm C's shadow keeps its active jobs in
+a heap and its remaining weight in a running accumulator, and the prefix
+shadows behind NC, NC-PAR and C-PAR only ever advance forward in time.  On
+the default array backends each event costs O(log n), so a 200-job stream
+should simulate in milliseconds — this bench is the regression guard for
+that.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import pytest
 from repro import PowerLaw
 from repro.algorithms import simulate_clairvoyant, simulate_nc_uniform
 from repro.core import evaluate
-from repro.parallel import simulate_nc_par
+from repro.parallel import simulate_c_par, simulate_nc_par
 from repro.workloads import random_instance
 
 POWER = PowerLaw(3.0)
@@ -43,4 +46,10 @@ def test_evaluate_throughput(benchmark):
 def test_nc_par_throughput(benchmark):
     inst = random_instance(100, seed=5, rate=2.0)
     run = benchmark(lambda: simulate_nc_par(inst, POWER, 8))
+    assert run.machines == 8
+
+
+def test_c_par_throughput(benchmark):
+    inst = random_instance(100, seed=5, rate=2.0)
+    run = benchmark(lambda: simulate_c_par(inst, POWER, 8))
     assert run.machines == 8

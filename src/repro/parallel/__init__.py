@@ -4,7 +4,7 @@ immediate-dispatch rules, the Ω(k^(1-1/α)) lower-bound adversary, and the
 fault-tolerant sharded execution layer (per-machine independence, Lemma 20,
 made executable on a supervised worker pool)."""
 
-from .c_par import remaining_weight_on_machine, simulate_c_par
+from .c_par import simulate_c_par
 from .cluster import ClusterRun
 from .dispatch import (
     DISPATCH_RULES,
@@ -36,7 +36,6 @@ __all__ = [
     "run_sharded",
     "shard_payload",
     "simulate_c_par",
-    "remaining_weight_on_machine",
     "simulate_nc_par",
     "DISPATCH_RULES",
     "round_robin",

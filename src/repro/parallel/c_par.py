@@ -8,6 +8,13 @@ increasing function of remaining weight, and flow equals energy for Algorithm
 C).  Ties are broken by a fixed total order — machine index — matching the
 assumption used by Lemma 20.  Each machine then runs Algorithm C on its own
 jobs.  Theorem 18 ([12]): O(alpha)-competitive for the fractional objective.
+
+The dispatch keeps one incremental Algorithm C shadow per machine (a
+:class:`~repro.core.shadow.PrefixWeightOracle` over the jobs dispatched to it
+so far).  Lemma 19 needs only each machine's remaining weight at the release,
+and releases arrive in nondecreasing order, so every shadow only ever moves
+forward: each arrival costs the events since the previous one instead of a
+from-scratch re-simulation of every machine.
 """
 
 from __future__ import annotations
@@ -15,23 +22,11 @@ from __future__ import annotations
 from ..core.errors import InvalidInstanceError
 from ..core.job import Instance
 from ..core.power import PowerLaw
+from ..core.shadow import PrefixWeightOracle
 from ..algorithms.clairvoyant import simulate_clairvoyant
 from .cluster import ClusterRun
 
-__all__ = ["simulate_c_par", "remaining_weight_on_machine"]
-
-
-def remaining_weight_on_machine(
-    assigned: list[int], instance: Instance, power: PowerLaw, at: float
-) -> float:
-    """Remaining fractional weight at time ``at`` of Algorithm C run on the
-    machine-local instance ``assigned`` (empty machines weigh nothing)."""
-    if not assigned:
-        return 0.0
-    sub = instance.subset(assigned)
-    assert sub is not None
-    run = simulate_clairvoyant(sub, power, until=at)
-    return sum(sub[jid].density * v for jid, v in run.remaining.items())
+__all__ = ["simulate_c_par"]
 
 
 def simulate_c_par(instance: Instance, power: PowerLaw, machines: int) -> ClusterRun:
@@ -40,13 +35,17 @@ def simulate_c_par(instance: Instance, power: PowerLaw, machines: int) -> Cluste
     if machines < 1:
         raise InvalidInstanceError(f"machines must be >= 1, got {machines}")
     assignments: dict[int, list[int]] = {i: [] for i in range(machines)}
+    # Uncapped on purpose: the per-machine Algorithm C runs below ignore any
+    # ``s_max`` a PowerLaw subclass carries, so the dispatch must too.
+    oracles = [PrefixWeightOracle(power.alpha) for _ in range(machines)]
     for job in instance:  # release order; dispatch is immediate
         weights = [
-            (remaining_weight_on_machine(assignments[i], instance, power, job.release), i)
+            (oracles[i].weight_at(job.release) if assignments[i] else 0.0, i)
             for i in range(machines)
         ]
         _, chosen = min(weights)  # least weight, ties by machine index
         assignments[chosen].append(job.job_id)
+        oracles[chosen].add_job(job.job_id, job.release, job.density, job.volume)
     schedules = {}
     for i in range(machines):
         if assignments[i]:

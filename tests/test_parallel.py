@@ -3,23 +3,28 @@ immediate-dispatch lower bound."""
 
 from __future__ import annotations
 
+from typing import Any
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.c_par as c_par_module
 from repro import Instance, Job, PowerLaw
+from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.core.errors import InvalidInstanceError, ScheduleError
+from repro.extensions.bounded_speed import CappedPowerLaw
 from repro.parallel import (
     ClusterRun,
     adversarial_instance,
     adversarial_ratio,
     least_count,
-    remaining_weight_on_machine,
     round_robin,
     simulate_c_par,
     simulate_immediate_dispatch,
     simulate_nc_par,
 )
+from repro.workloads.random_instances import random_instance
 
 from conftest import uniform_instances
 
@@ -64,9 +69,6 @@ class TestCPar:
         assert run.machine_of(1) == 1
         assert run.machine_of(2) == 1  # m1's 0.1 job nearly done vs m0's 10
 
-    def test_remaining_weight_empty_machine(self, cube, three_jobs):
-        assert remaining_weight_on_machine([], three_jobs, cube, 1.0) == 0.0
-
     def test_rejects_zero_machines(self, cube, three_jobs):
         with pytest.raises(InvalidInstanceError):
             simulate_c_par(three_jobs, cube, 0)
@@ -74,6 +76,75 @@ class TestCPar:
     def test_flow_equals_energy_per_cluster(self, cube, three_jobs):
         rep = simulate_c_par(three_jobs, cube, 2).report()
         assert rep.fractional_flow == pytest.approx(rep.energy, rel=1e-9)
+
+
+def _reference_dispatch(
+    instance: Instance, power: PowerLaw, machines: int
+) -> tuple[dict[int, list[int]], float]:
+    """C-PAR's dispatch from scratch: one fresh Algorithm C run per machine
+    per arrival, read at the release.  Returns the assignments and the
+    largest machine weight any arrival saw."""
+    assignments: dict[int, list[int]] = {i: [] for i in range(machines)}
+    peak = 0.0
+    for job in instance:
+        weights = []
+        for i in range(machines):
+            w = 0.0
+            if assignments[i]:
+                sub = instance.subset(assignments[i])
+                assert sub is not None
+                run = simulate_clairvoyant(sub, power, until=job.release)
+                w = sum(sub[jid].density * v for jid, v in run.remaining.items())
+            weights.append((w, i))
+            peak = max(peak, w)
+        _, chosen = min(weights)
+        assignments[chosen].append(job.job_id)
+    return assignments, peak
+
+
+class TestCParIncrementalDispatch:
+    """The per-machine incremental shadows dispatch exactly like fresh
+    per-arrival re-simulation, and call Algorithm C once per machine."""
+
+    @pytest.mark.parametrize("machines", [2, 4, 8])
+    @pytest.mark.parametrize("family", ["exponential", "pareto", "bimodal"])
+    def test_matches_from_scratch_reference(
+        self, cube: PowerLaw, family: str, machines: int
+    ) -> None:
+        inst = random_instance(64, 7, rate=4.0, volume=family)
+        want, _ = _reference_dispatch(inst, cube, machines)
+        assert simulate_c_par(inst, cube, machines).assignments == want
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_reference_on_exact_ties(self, cube: PowerLaw, k: int) -> None:
+        """§6 adversary: k^2 jobs all released at t = 0."""
+        inst, _ = adversarial_instance(k, round_robin(k, list(range(k * k))))
+        want, _ = _reference_dispatch(inst, cube, k)
+        assert simulate_c_par(inst, cube, k).assignments == want
+
+    def test_dispatch_ignores_speed_cap(self) -> None:
+        """Per-machine Algorithm C ignores ``s_max``, so the dispatch must
+        read the uncapped weights even where the cap binds."""
+        power = CappedPowerLaw(3.0, 0.5)
+        inst = random_instance(64, 7, rate=4.0, volume="pareto")
+        want, peak = _reference_dispatch(inst, power, 4)
+        assert peak > power.saturation_weight
+        assert simulate_c_par(inst, power, 4).assignments == want
+
+    def test_one_algorithm_c_call_per_machine(
+        self, cube: PowerLaw, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        calls = 0
+
+        def counted(*args: Any, **kwargs: Any) -> Any:
+            nonlocal calls
+            calls += 1
+            return simulate_clairvoyant(*args, **kwargs)
+
+        monkeypatch.setattr(c_par_module, "simulate_clairvoyant", counted)
+        inst = random_instance(256, 3, rate=4.0)
+        run = simulate_c_par(inst, cube, 4)
+        assert calls == sum(1 for jobs in run.assignments.values() if jobs)
 
 
 class TestNCPar:

@@ -25,7 +25,7 @@ test:
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only
 
-# Fast benchmark subset: the shadow-layer speedup gate (writes
+# Fast benchmark subset: the shadow-layer counter gate (writes
 # benchmarks/out/BENCH_general_density.json), the eta/beta ablation, the
 # tracing zero-overhead gate, and the supervisor-overhead gate.
 bench-smoke:
@@ -56,7 +56,8 @@ bench-service-recovery:
 	$(PYTEST) benchmarks/bench_service_recovery.py --benchmark-only
 
 # Diff the freshly written BENCH_*.json against the committed baselines
-# (deterministic quantities must match; speedups must stay >= 5x).
+# (deterministic quantities, shadow counters included, must match; the
+# one-sided timing gates must hold).
 bench-check:
 	python scripts/check_bench_regression.py
 

@@ -12,8 +12,7 @@ This script compares the two:
   of statistical quantities);
 * wall-clock-derived quantities (``wall_clock_s``, overhead ratios) are
   skipped — they vary with the host — EXCEPT the one-sided gates: the
-  shadow-layer ``speedup`` must stay at or above ``--min-speedup`` (the
-  repo's 5x acceptance floor); the supervisor's no-fault
+  supervisor's no-fault
   ``supervised_overhead`` must stay at or below ``--max-overhead`` (1.05,
   the robustness layer's 5% ceiling); the sharded path's
   ``shard_pool_speedup_largest`` must stay at or above
@@ -58,7 +57,6 @@ OUT_DIR = REPO_ROOT / "benchmarks" / "out"
 TIMING_KEYS = frozenset(
     {
         "wall_clock_s",
-        "speedup",
         "null_overhead",
         "memory_overhead",
         "supervised_overhead",
@@ -90,8 +88,6 @@ TIMING_KEYS = frozenset(
         "restore_per_session_ms",
     }
 )
-#: The one timing-derived key that still carries an acceptance floor.
-SPEEDUP_KEY = "speedup"
 #: Timing-derived key with an acceptance *ceiling*: the no-fault supervised
 #: run may cost at most 5% over the unsupervised baseline.
 OVERHEAD_KEY = "supervised_overhead"
@@ -119,7 +115,6 @@ SERVICE_P99_KEY = "service_p99_ms"
 #: part of the availability budget.
 JOURNAL_OVERHEAD_KEY = "journal_overhead"
 RESTORE_MS_KEY = "restore_100_sessions_ms"
-DEFAULT_MIN_SPEEDUP = 5.0
 DEFAULT_MAX_OVERHEAD = 1.05
 DEFAULT_MIN_SHARD_SPEEDUP = 1.0
 DEFAULT_MAX_RECOVERY_OVERHEAD = 4.0
@@ -229,12 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         help="relative tolerance for deterministic quantities",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        help="acceptance floor for every fresh 'speedup' value",
-    )
-    parser.add_argument(
         "--max-overhead",
         type=float,
         default=DEFAULT_MAX_OVERHEAD,
@@ -307,12 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     checked = 0
     for path in fresh_files:
         fresh = json.loads(path.read_text())
-        for spath, value in collect_key(fresh, SPEEDUP_KEY):
-            if value < args.min_speedup:
-                problems.append(
-                    f"{path.name}: {spath} = {value:.3f} below the "
-                    f"{args.min_speedup:g}x floor"
-                )
         for spath, value in collect_key(fresh, OVERHEAD_KEY):
             if value > args.max_overhead:
                 problems.append(
@@ -384,8 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {p}")
         return 1
     print(f"bench regression check: OK ({checked} baseline(s) diffed, "
-          f"{len(fresh_files)} artifact(s), tolerance {args.tolerance:g}, "
-          f"speedup floor {args.min_speedup:g}x)")
+          f"{len(fresh_files)} artifact(s), tolerance {args.tolerance:g})")
     return 0
 
 

@@ -23,22 +23,17 @@ Unlike the uniform case there is no closed form — the speed at ``t`` depends
 on a *shadow simulation* of Algorithm C over the evolving instance — so this
 runs on the generic numeric engine.
 
-Shadow modes (``shadow_mode``):
-
-* ``"incremental"`` (default) — a live :class:`~repro.core.shadow.ClairvoyantShadow`
-  per *epoch* (a maximal interval over which NC processes one job ``j*`` and
-  no release/completion intervenes).  Only ``j*``'s weight in ``I(t)``
-  changes during an epoch and ``j*`` enters C's run at its own release
-  ``r*``, so the shadow is checkpointed at ``r*`` once and every engine-step
-  query is a rollback + insert-``j*`` + advance-to-``t`` over a handful of
-  events — no per-query ``Instance`` construction or schedule building.
-* ``"resume"`` — the pre-refactor warm path: a fresh
-  ``simulate_clairvoyant(..., resume=...)`` per query from a dict checkpoint.
-* ``"fromscratch"`` — a cold ``simulate_clairvoyant(..., until=t)`` per query.
-
-All three agree to ~1e-12 relative (the first two are bit-identical away
-from boundary queries); the incremental mode is what makes
-``bench_general_density.py`` scale.
+The shadow: ``s^C_{I(t)}(t)`` comes from a live
+:class:`~repro.core.shadow.ClairvoyantShadow` per *epoch* (a maximal interval
+over which NC processes one job ``j*`` and no release/completion
+intervenes).  Only ``j*``'s weight in ``I(t)`` changes during an epoch and
+``j*`` enters C's run at its own release ``r*``, so the shadow is
+checkpointed at ``r*`` once and every engine-step query is a rollback +
+insert-``j*`` + advance-to-``t`` over a handful of events — no per-query
+``Instance`` construction or schedule building.  This is what makes
+``bench_general_density.py`` scale; ``tests/data/golden_corpus.json``
+(recorded with per-query cold shadow runs) pins its completions and
+objectives to 1e-9.
 """
 
 from __future__ import annotations
@@ -98,8 +93,6 @@ class NCGeneralPolicy(SchedulingPolicy):
         eta: float | None = None,
         beta: float = 5.0,
         epsilon: float = 1e-6,
-        use_checkpoints: bool | None = None,
-        shadow_mode: str | None = None,
     ) -> None:
         if not isinstance(power, PowerLaw):
             raise TypeError("NC-general's shadow simulation requires a PowerLaw")
@@ -111,38 +104,19 @@ class NCGeneralPolicy(SchedulingPolicy):
             raise ValueError(f"beta must be > 1, got {beta}")
         if epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        if shadow_mode is None:
-            # Back-compat: the pre-refactor flag toggled the warm-resume path.
-            if use_checkpoints is None:
-                shadow_mode = "incremental"
-            else:
-                shadow_mode = "resume" if use_checkpoints else "fromscratch"
-        if shadow_mode not in ("incremental", "resume", "fromscratch"):
-            raise ValueError(
-                f"shadow_mode must be 'incremental', 'resume' or 'fromscratch', got {shadow_mode!r}"
-            )
         self.power = power
         self.eta = eta
         self.beta = beta
         self.epsilon = epsilon
-        self.shadow_mode = shadow_mode
-        self.use_checkpoints = shadow_mode != "fromscratch"
         self.counters = ShadowCounters()
         #: job id -> (release, rounded density); insertion order is release
         #: order because on_release fires in that order.
         self._released: dict[int, tuple[float, float]] = {}
         self._active: list[int] = []
-        #: shadow-run checkpoint for the "resume" mode: (current job id, its
-        #: release, Algorithm C's remaining volumes just before that release
-        #: on the *other* jobs).  While NC processes one job, only that job's
-        #: weight in I(t) changes and it is released at its own release time,
-        #: so C's run before that instant is invariant — the checkpoint
-        #: amortises the shadow cost.
-        self._ckpt: tuple[int, float, dict[int, float]] | None = None
-        #: live-shadow epoch for the "incremental" mode: (current job id, its
-        #: release, the shadow, its base checkpoint at that release).  Each
-        #: query rolls the shadow back to the base, inserts the current job
-        #: with its latest processed weight and advances to the query time.
+        #: live-shadow epoch: (current job id, its release, the shadow, its
+        #: base checkpoint at that release).  Each query rolls the shadow back
+        #: to the base, inserts the current job with its latest processed
+        #: weight and advances to the query time.
         self._epoch: tuple[int, float, ClairvoyantShadow, ShadowCheckpoint] | None = None
         #: tracing (wired by bind): hoisted recorder guard + the rounded
         #: density class of the last epoch's j*, for density_class_switch.
@@ -163,12 +137,10 @@ class NCGeneralPolicy(SchedulingPolicy):
     def on_release(self, t: float, job_id: int, density: float) -> None:
         self._released[job_id] = (t, round_density_down(density, self.beta))
         self._active.append(job_id)
-        self._ckpt = None  # a new arrival may change which job is processed
-        self._epoch = None
+        self._epoch = None  # a new arrival may change which job is processed
 
     def on_completion(self, t: float, job_id: int, volume: float) -> None:
         self._active.remove(job_id)
-        self._ckpt = None
         self._epoch = None
 
     def select_job(self, t: float) -> int | None:
@@ -196,53 +168,12 @@ class NCGeneralPolicy(SchedulingPolicy):
         return Instance(jobs) if jobs else None
 
     def _shadow_speed(self, t: float, processed: dict[int, float]) -> float:
-        if self.shadow_mode == "incremental":
-            return self._shadow_speed_incremental(t, processed)
-        from .clairvoyant import simulate_clairvoyant
-
-        inst = self.current_instance(processed)
-        if inst is None:
-            return 0.0
-        j_star = self.select_job(t)
-        if (
-            not self.use_checkpoints
-            or j_star is None
-            or processed.get(j_star, 0.0) <= 0.0
-            or j_star not in inst
-        ):
-            # Boundary states (nothing of the current job processed yet):
-            # just run the shadow from scratch, it is short anyway.  The
-            # legacy resume/fromscratch modes promise *bit-identical* results
-            # to each other, which only the scalar backend's sequential
-            # accumulation order can deliver across warm/cold histories.
-            run = simulate_clairvoyant(inst, self.power, until=t, backend="scalar")
-        else:
-            r_star = self._released[j_star][0]
-            if self._ckpt is None or self._ckpt[0] != j_star:
-                others = [j for j in inst if j.job_id != j_star]
-                if others:
-                    pre = simulate_clairvoyant(
-                        Instance(others), self.power, until=r_star, backend="scalar"
-                    )
-                    ck = dict(pre.remaining)
-                else:
-                    ck = {}
-                self._ckpt = (j_star, r_star, ck)
-            _, t0, ck = self._ckpt
-            run = simulate_clairvoyant(
-                inst, self.power, until=t, resume=(t0, ck), backend="scalar"
-            )
-        w_rem = sum(inst[jid].density * v for jid, v in run.remaining.items())
-        return self.power.speed(w_rem)
-
-    def _shadow_speed_incremental(self, t: float, processed: dict[int, float]) -> float:
         """``s^C_{I(t)}(t)`` from the live epoch shadow.
 
         The epoch base is C's state on the *other* jobs of ``I(t)`` (their
         processed weights are frozen while NC drives ``j*``) materialized at
         ``r*``; a query replays only ``j*``'s admission and the events in
-        ``(r*, t]`` — exactly the events the pre-refactor resume path
-        re-simulated, minus all object construction.
+        ``(r*, t]``, with no object construction.
         """
         epoch = self._epoch
         if epoch is None:
@@ -316,7 +247,6 @@ class NCGeneralRun:
     beta: float
     epsilon: float
     engine_steps: int
-    shadow_mode: str = "incremental"
     counters: ShadowCounters | None = None
 
     def completion_time(self, job_id: int) -> float:
@@ -331,7 +261,6 @@ def simulate_nc_general(
     beta: float = 5.0,
     epsilon: float = 1e-6,
     max_step: float = 1e-2,
-    shadow_mode: str | None = None,
     context: SimulationContext | None = None,
 ) -> NCGeneralRun:
     """Run Algorithm NC-general numerically on ``instance``.
@@ -340,11 +269,10 @@ def simulate_nc_general(
     engine's integration step bound; results converge as it shrinks (see
     ``benchmarks/bench_engine_accuracy.py``).  The engine's ``min_step`` is
     tied to ``epsilon**2`` so the post-release bootstrap window is resolved.
-    ``shadow_mode`` selects how ``s^C_{I(t)}`` is obtained (see
-    :class:`NCGeneralPolicy`); the returned run carries the
-    :class:`~repro.core.shadow.ShadowCounters` of its engine context.
+    The returned run carries the :class:`~repro.core.shadow.ShadowCounters`
+    of its engine context.
     """
-    policy = NCGeneralPolicy(power, eta=eta, beta=beta, epsilon=epsilon, shadow_mode=shadow_mode)
+    policy = NCGeneralPolicy(power, eta=eta, beta=beta, epsilon=epsilon)
     min_step = min(1e-14, epsilon**2 / 16.0)
     engine = NumericEngine(
         power, max_step=max_step, min_step=max(min_step, 1e-300), context=context
@@ -358,6 +286,5 @@ def simulate_nc_general(
         beta=policy.beta,
         epsilon=policy.epsilon,
         engine_steps=result.steps,
-        shadow_mode=policy.shadow_mode,
         counters=result.context.counters if result.context is not None else None,
     )

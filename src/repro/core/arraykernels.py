@@ -9,20 +9,17 @@ identical — ``beta = 1 - 1/alpha`` linearises both dynamics, see
 (``tests/test_arraykernels.py`` pins the agreement per kernel and over full
 golden-corpus runs).
 
-Three backends provide the same eleven-callable surface through a small
+Two backends provide the same eleven-callable surface through a small
 registry:
 
 * ``"numpy"`` (default) — the module-level functions below; one vectorized
   expression per kernel over the whole population.
 * ``"scalar"`` — elementwise loops over the scalar twins; bit-identical to
-  :mod:`repro.core.kernels` per element and the fallback of last resort.
-* ``"numba"`` — optional compiled ufuncs; only registered when ``numba`` is
-  importable, otherwise requests for it degrade to ``"numpy"`` (the
-  degradation is observable via :func:`numba_available` and the
-  ``backend_selected`` trace event).
+  :mod:`repro.core.kernels` per element; the reference the numpy backend
+  is differentially tested against.
 
 Selection: :func:`get_backend` honors the ``REPRO_BACKEND`` environment
-variable (``scalar`` | ``numpy`` | ``numba``); consumers that take a
+variable (``scalar`` | ``numpy``); consumers that take a
 ``backend=`` parameter resolve it through :func:`resolve_backend`.
 
 :class:`ArrayPopulation` is the struct-of-arrays job-population state the
@@ -33,10 +30,8 @@ and machine assignment, with amortized append and O(1) id->slot lookup.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from importlib import util as _importlib_util
 from typing import Any, Callable, Iterable, cast
 
 import numpy as np
@@ -53,7 +48,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "BACKEND_ENV_VAR",
     "available_backends",
-    "numba_available",
     "get_backend",
     "resolve_backend",
     "backend_payload",
@@ -446,7 +440,6 @@ class KernelBackend:
 
     name: str
     vector_width: int
-    uses_numba: bool
     beta_of: KernelFn
     speed_at: KernelFn
     decay_weight_after: KernelFn
@@ -487,7 +480,6 @@ def _build_scalar_backend() -> KernelBackend:
     return KernelBackend(
         name="scalar",
         vector_width=1,
-        uses_numba=False,
         beta_of=_elementwise(_k.beta_of),
         speed_at=_elementwise(_k.speed_at),
         decay_weight_after=_elementwise(_k.decay_weight_after),
@@ -506,7 +498,6 @@ def _build_numpy_backend() -> KernelBackend:
     return KernelBackend(
         name="numpy",
         vector_width=0,
-        uses_numba=False,
         beta_of=beta_of,
         speed_at=speed_at,
         decay_weight_after=decay_weight_after,
@@ -521,202 +512,20 @@ def _build_numpy_backend() -> KernelBackend:
     )
 
 
-def _build_numba_backend() -> KernelBackend | None:
-    """Compile the eleven closed forms as numba ufuncs; ``None`` when numba
-    is absent or compilation fails (the registry then serves numpy)."""
-    try:
-        from numba import vectorize  # type: ignore[import-not-found,import-untyped]
-    except Exception:
-        return None
-    try:
-        sig2 = ["float64(float64, float64)"]
-        sig3 = ["float64(float64, float64, float64)"]
-        sig4 = ["float64(float64, float64, float64, float64)"]
-
-        @vectorize(sig2, nopython=True)
-        def _speed_at(w: float, alpha: float) -> float:
-            return w ** (1.0 / alpha)
-
-        @vectorize(["float64(float64)"], nopython=True)
-        def _beta_of(alpha: float) -> float:
-            return 1.0 - 1.0 / alpha
-
-        @vectorize(sig4, nopython=True)
-        def _dwa(w0: float, rho: float, t: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            base = w0**beta - rho * beta * t
-            if base <= 0.0:
-                return 0.0
-            return base ** (1.0 / beta)
-
-        @vectorize(sig4, nopython=True)
-        def _dtb(w0: float, w1: float, rho: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            return max(0.0, (w0**beta - w1**beta) / (rho * beta))
-
-        @vectorize(sig3, nopython=True)
-        def _dtz(w0: float, rho: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            return w0**beta / (rho * beta)
-
-        @vectorize(sig4, nopython=True)
-        def _deb(w0: float, w1: float, rho: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            return max(
-                0.0, (w0 ** (1.0 + beta) - w1 ** (1.0 + beta)) / (rho * (1.0 + beta))
-            )
-
-        @vectorize(sig4, nopython=True)
-        def _dfi(w0: float, rho: float, tau: float, alpha: float) -> float:
-            if tau == 0.0:
-                return 0.0
-            beta = 1.0 - 1.0 / alpha
-            base = w0**beta - rho * beta * tau
-            w_end = base ** (1.0 / beta) if base > 0.0 else 0.0
-            energy = max(
-                0.0, (w0 ** (1.0 + beta) - w_end ** (1.0 + beta)) / (rho * (1.0 + beta))
-            )
-            return (w0 * tau - energy) / rho
-
-        @vectorize(sig4, nopython=True)
-        def _gwa(u0: float, rho: float, t: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            return (u0**beta + rho * beta * t) ** (1.0 / beta)
-
-        @vectorize(sig4, nopython=True)
-        def _gtb(u0: float, u1: float, rho: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            return max(0.0, (u1**beta - u0**beta) / (rho * beta))
-
-        @vectorize(sig4, nopython=True)
-        def _geb(u0: float, u1: float, rho: float, alpha: float) -> float:
-            beta = 1.0 - 1.0 / alpha
-            return max(
-                0.0, (u1 ** (1.0 + beta) - u0 ** (1.0 + beta)) / (rho * (1.0 + beta))
-            )
-
-        @vectorize(sig4, nopython=True)
-        def _gfi(u0: float, rho: float, tau: float, alpha: float) -> float:
-            if tau == 0.0:
-                return 0.0
-            beta = 1.0 - 1.0 / alpha
-            u_end = (u0**beta + rho * beta * tau) ** (1.0 / beta)
-            energy = max(
-                0.0, (u_end ** (1.0 + beta) - u0 ** (1.0 + beta)) / (rho * (1.0 + beta))
-            )
-            return (energy - u0 * tau) / rho
-
-        # Warm the compiled paths once so a broken toolchain fails here, not
-        # mid-run, and the registry can fall back cleanly.
-        _dwa(1.0, 1.0, 0.5, 3.0)
-        _gfi(1.0, 1.0, 0.5, 3.0)
-    except Exception:
-        return None
-
-    def _checked2(core: Any) -> KernelFn:
-        def fn(w: npt.ArrayLike, alpha: npt.ArrayLike) -> FloatArray:
-            wa, aa = _broadcast(w, alpha)
-            _check_alpha(aa)
-            return np.asarray(core(wa, aa), dtype=np.float64)
-
-        return fn
-
-    def _checked_t(core: Any) -> KernelFn:
-        def fn(
-            x: npt.ArrayLike, rho: npt.ArrayLike, t: npt.ArrayLike, alpha: npt.ArrayLike
-        ) -> FloatArray:
-            xa, rhoa, ta, aa = _broadcast(x, rho, t, alpha)
-            _check_arrays(xa, rhoa, ta)
-            _check_alpha(aa)
-            return np.asarray(core(xa, rhoa, ta, aa), dtype=np.float64)
-
-        return fn
-
-    def _checked_pair(core: Any, what: str, swap: bool) -> KernelFn:
-        def fn(
-            a: npt.ArrayLike, b: npt.ArrayLike, rho: npt.ArrayLike, alpha: npt.ArrayLike
-        ) -> FloatArray:
-            aa_, ba, rhoa, al = _broadcast(a, b, rho, alpha)
-            _check_arrays(aa_, rhoa)
-            if swap:
-                _check_upper(aa_, ba, what)
-            else:
-                _check_upper(ba, aa_, what)
-            _check_alpha(al)
-            return np.asarray(core(aa_, ba, rhoa, al), dtype=np.float64)
-
-        return fn
-
-    def _checked3(core: Any) -> KernelFn:
-        def fn(x: npt.ArrayLike, rho: npt.ArrayLike, alpha: npt.ArrayLike) -> FloatArray:
-            xa, rhoa, aa = _broadcast(x, rho, alpha)
-            _check_arrays(xa, rhoa)
-            _check_alpha(aa)
-            return np.asarray(core(xa, rhoa, aa), dtype=np.float64)
-
-        return fn
-
-    def _beta(alpha: npt.ArrayLike) -> FloatArray:
-        (aa,) = _broadcast(alpha)
-        _check_alpha(aa)
-        return np.asarray(_beta_of(aa), dtype=np.float64)
-
-    return KernelBackend(
-        name="numba",
-        vector_width=0,
-        uses_numba=True,
-        beta_of=_beta,
-        speed_at=_checked2(_speed_at),
-        decay_weight_after=_checked_t(_dwa),
-        decay_time_between=_checked_pair(_dtb, "w1 <= w0", swap=False),
-        decay_time_to_zero=_checked3(_dtz),
-        decay_energy_between=_checked_pair(_deb, "w1 <= w0", swap=False),
-        decay_flow_integral=_checked_t(_dfi),
-        growth_weight_after=_checked_t(_gwa),
-        growth_time_between=_checked_pair(_gtb, "u0 <= u1", swap=True),
-        growth_energy_between=_checked_pair(_geb, "u0 <= u1", swap=True),
-        growth_flow_integral=_checked_t(_gfi),
-    )
-
-
 _SCALAR_BACKEND = _build_scalar_backend()
 _NUMPY_BACKEND = _build_numpy_backend()
-_numba_backend_cache: KernelBackend | None = None
-_numba_backend_tried = False
-
-
-def _numba_backend() -> KernelBackend | None:
-    global _numba_backend_cache, _numba_backend_tried
-    if not _numba_backend_tried:
-        _numba_backend_tried = True
-        _numba_backend_cache = _build_numba_backend()
-    return _numba_backend_cache
-
-
-def numba_available() -> bool:
-    """Whether the optional compiled backend can be imported at all."""
-    try:
-        return _importlib_util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend`, usable on this interpreter."""
-    names = ["scalar", "numpy"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
+    """Names accepted by :func:`get_backend`."""
+    return ("scalar", "numpy")
 
 
 def get_backend(name: str | None = None) -> KernelBackend:
     """Resolve a backend by name.
 
     ``None`` consults ``REPRO_BACKEND`` and falls back to
-    :data:`DEFAULT_BACKEND`.  Requesting ``"numba"`` when numba is missing
-    (or fails to compile) degrades to the numpy backend — the fallback
-    contract of the feature flag; :func:`backend_payload` makes the
-    degradation observable.  Unknown names raise :class:`ValueError`.
+    :data:`DEFAULT_BACKEND`.  Unknown names raise :class:`ValueError`.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR, "").strip() or DEFAULT_BACKEND
@@ -725,12 +534,8 @@ def get_backend(name: str | None = None) -> KernelBackend:
         return _SCALAR_BACKEND
     if name == "numpy":
         return _NUMPY_BACKEND
-    if name == "numba":
-        backend = _numba_backend()
-        return backend if backend is not None else _NUMPY_BACKEND
     raise ValueError(
-        f"unknown kernel backend {name!r}; choose from "
-        f"{', '.join(('scalar', 'numpy', 'numba'))}"
+        f"unknown kernel backend {name!r}; choose from {', '.join(available_backends())}"
     )
 
 
@@ -747,6 +552,4 @@ def backend_payload(backend: KernelBackend) -> dict[str, Any]:
     return {
         "backend": backend.name,
         "vector_width": backend.vector_width,
-        "uses_numba": backend.uses_numba,
-        "numba_available": numba_available(),
     }

@@ -1119,33 +1119,6 @@ class ClairvoyantShadow:
             self._run_loop(t)
         return self.remaining_weight()
 
-    # -- warm start (used by the analytic simulators' resume path) ------------
-
-    def load_state(
-        self, clock: float, remaining: list[tuple[int, float, float, float]]
-    ) -> None:
-        """Seed the shadow from an external checkpoint.
-
-        ``remaining`` is ``(job_id, density, release, volume)`` in the order
-        the jobs should occupy the active set.  Must be called before any
-        insert or advance."""
-        if self._rho or self._pending:
-            raise SimulationError("load_state on a non-fresh shadow")
-        self.clock = self._t_loop = float(clock)
-        for jid, rho, rel, vol in remaining:
-            self._rho[jid] = rho
-            self._rel[jid] = rel
-            self._key[jid] = (-rho, rel, jid)
-            self._remaining[jid] = vol
-        if self._fast:
-            self._heap = [self._key[jid] for jid, _, _, _ in remaining]
-            heapify(self._heap)
-            self._w_accum = (
-                math.fsum(rho * vol for _, rho, _, vol in remaining)
-                if remaining
-                else 0.0
-            )
-
 
 class PrefixWeightOracle:
     """One incrementally-extended Algorithm C run answering ``W^C(t)`` queries.

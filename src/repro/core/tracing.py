@@ -112,10 +112,9 @@ __all__ = [
 #: The closed set of event kinds.  ``run_meta`` is the self-description header
 #: a harness writes before a traced run (instance, alpha, algorithm) so a
 #: JSONL trace is replayable without out-of-band context, and
-#: ``backend_selected`` records which kernel backend (scalar / numpy / numba;
-#: see :mod:`repro.core.arraykernels`) produced the run, with its vector
-#: width and numba availability.  ``fault_injected``
-#: marks every firing of a :mod:`repro.faults` injector, and
+#: ``backend_selected`` records which kernel backend (scalar / numpy; see
+#: :mod:`repro.core.arraykernels`) produced the run, with its vector width.
+#: ``fault_injected`` marks every firing of a :mod:`repro.faults` injector, and
 #: ``guard_violation`` / ``retry`` / ``recovery`` / ``degraded_mode`` narrate
 #: the supervisor's response (:mod:`repro.runtime.supervisor`).
 #:

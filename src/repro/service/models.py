@@ -202,6 +202,9 @@ class SessionCreateRequest(BaseModel):
     rejected with 429.  ``trace_path`` attaches a per-session
     :class:`~repro.core.tracing.JsonlRecorder` (``sink``: ``plain`` | ``gzip``
     | ``rotate:N``), flushed on session close and on service shutdown.
+    ``backend`` is ``"scalar"``, ``"numpy"`` or ``None`` (defer to
+    ``REPRO_BACKEND``); anything else is a 422, refused before any journal
+    I/O.
     """
 
     model_config = ConfigDict(extra="forbid")
@@ -214,7 +217,7 @@ class SessionCreateRequest(BaseModel):
     jobs: list[JobModel] = Field(default_factory=list)
     trace_path: Optional[str] = None
     sink: str = "plain"
-    backend: Optional[str] = None
+    backend: Optional[Literal["scalar", "numpy"]] = None
 
 
 class SessionInfo(BaseModel):

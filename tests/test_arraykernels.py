@@ -12,7 +12,7 @@ Three layers of agreement are pinned here:
   and the golden corpus replayed under both backends at the corpus's 1e-9
   acceptance bar.
 * **Registry** — backend resolution, the ``REPRO_BACKEND`` flag, and the
-  numba-missing degradation contract.
+  rejection of unknown names.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.core.arraykernels import (
     available_backends,
     backend_payload,
     get_backend,
-    numba_available,
     resolve_backend,
 )
 from repro.core.errors import KernelDomainError
@@ -362,15 +361,9 @@ class TestBackendRegistry:
         assert backend.vector_width == 1
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            get_backend("cuda")
-
-    def test_numba_request_degrades_when_missing(self):
-        backend = get_backend("numba")
-        if numba_available():
-            assert backend.name == "numba" and backend.uses_numba
-        else:
-            assert backend.name == "numpy" and not backend.uses_numba
+        for name in ("cuda", "numba"):
+            with pytest.raises(ValueError, match="choose from scalar, numpy"):
+                get_backend(name)
 
     def test_resolve_backend_passthrough(self):
         b = get_backend("scalar")
@@ -380,8 +373,7 @@ class TestBackendRegistry:
     def test_payload_shape(self):
         payload = backend_payload(get_backend("numpy"))
         assert payload["backend"] == "numpy"
-        assert set(payload) == {"backend", "vector_width", "uses_numba", "numba_available"}
-        assert payload["numba_available"] == numba_available()
+        assert set(payload) == {"backend", "vector_width"}
 
     def test_shadow_accepts_backend_objects_and_names(self):
         for spec in ("scalar", "numpy", get_backend("numpy")):

@@ -304,6 +304,22 @@ def test_restore_skips_deleted_sessions(tmp_path):
     assert report.closed == ["s"] and not report.restored
 
 
+@pytest.mark.parametrize("backend", ["bogus", "numba", ""])
+def test_bad_backend_answers_422_and_journals_nothing(tmp_path, backend):
+    """An unknown kernel backend is refused at validation, before the
+    session_create record is written — no journal for restore to trip on."""
+    manager = SessionManager(journal_dir=tmp_path)
+    with TestClient(create_app(manager)) as client:
+        resp = client.post(
+            "/sessions", json_body={"session_id": "s", "alpha": ALPHA, "backend": backend}
+        )
+        assert resp.status_code == 422, resp.json()
+        assert "s" not in manager.sessions
+    assert list(tmp_path.iterdir()) == []
+    report = _run(SessionManager(journal_dir=tmp_path).restore())
+    assert not report.skipped and not report.restored
+
+
 def test_restore_a_hundred_sessions(tmp_path):
     manager = SessionManager(journal_dir=tmp_path)
 

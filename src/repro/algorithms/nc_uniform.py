@@ -6,9 +6,13 @@ earliest release.  Speed rule: while processing job ``j`` at time ``t``,
     ``P(s(t)) = W^C(r[j]-) + W̆[j](t)``
 
 where ``W^C(r[j]-)`` is the remaining weight of *Algorithm C simulated on the
-prefix instance* (all jobs released strictly before ``r[j]``, whose volumes NC
-has already learned by completing them — FIFO guarantees this) just before
-``r[j]``, and ``W̆[j](t)`` is the weight of ``j`` that NC has processed so far.
+prefix instance* (all jobs ahead of ``j`` in FIFO order, whose volumes NC has
+already learned by completing them) at ``r[j]``, and ``W̆[j](t)`` is the
+weight of ``j`` that NC has processed so far.  FIFO order is the instance's
+order: release time, ties by job id.  Jobs released together therefore
+arrive one after another, as if their releases were infinitesimally apart;
+counting only *strictly* earlier releases would drop the tied predecessors'
+weight and break Lemma 3 on any instance with a tie.
 
 Guarantees reproduced by the test-suite as *equalities*:
 
@@ -76,7 +80,7 @@ def simulate_nc_uniform(
 
     All per-job speed-rule offsets ``W^C(r[j]-)`` come from **one**
     incrementally-extended clairvoyant shadow run (jobs are revealed to it in
-    FIFO order, strictly-earlier releases first), not from per-job fresh
+    FIFO order, every job ahead of ``j`` first), not from per-job fresh
     simulations — the offsets are bit-identical either way, see
     :class:`~repro.core.shadow.PrefixWeightOracle`.
     """
@@ -100,7 +104,7 @@ def simulate_nc_uniform(
     jobs = list(instance.jobs)
     revealed = 0
     t = 0.0
-    for job in instance:  # FIFO == release order
+    for k, job in enumerate(jobs):  # FIFO == instance order
         start = max(t, job.release)
         # The speed-rule constant: Algorithm C's remaining weight just before
         # r[j], over the prefix of already-completed (hence known) jobs.  The
@@ -108,7 +112,7 @@ def simulate_nc_uniform(
         # completed jobs are exactly absent, so no 1e-16 residue survives
         # (residues get amplified by the 1/beta exponent of the growth curve
         # when alpha is close to 1).
-        while revealed < len(jobs) and jobs[revealed].release < job.release:
+        while revealed < k:
             prev = jobs[revealed]
             vol = prev.volume
             if filt is not None:
@@ -199,7 +203,7 @@ class NCUniformPolicy(SchedulingPolicy):
         release, density = self._released[job_id]
         offset = self._offsets.get(job_id)
         if offset is None:
-            offset = self._prefix_remaining_weight(release)
+            offset = self._prefix_remaining_weight(job_id, release)
             self._offsets[job_id] = offset
         self._starts.setdefault(job_id, t)
         u = offset + density * processed.get(job_id, 0.0)
@@ -217,10 +221,22 @@ class NCUniformPolicy(SchedulingPolicy):
                 return self.epsilon
         return self.power.speed(u)
 
-    def _prefix_remaining_weight(self, release: float) -> float:
-        """``W^C(release-)`` from the jobs completed so far (all jobs released
-        strictly before ``release``, by FIFO)."""
+    def _prefix_remaining_weight(self, job_id: int, release: float) -> float:
+        """``W^C(release-)`` from the jobs ahead of ``job_id`` in FIFO order
+        (release order, which is the order they were released to the policy;
+        all of them have completed by FIFO)."""
         from ..core.job import Job
+
+        ahead: list[tuple[int, float, float]] = []  # (id, release, density)
+        for jid, (r, rho) in self._released.items():
+            if jid == job_id:
+                break
+            if jid not in self._completed:
+                raise SimulationError(
+                    f"FIFO invariant broken: job {jid} ahead of job {job_id} "
+                    "has not completed when its successor starts"
+                )
+            ahead.append((jid, r, rho))
 
         if isinstance(self.power, PowerLaw):
             # One incrementally-extended shadow run serves every offset
@@ -232,26 +248,13 @@ class NCUniformPolicy(SchedulingPolicy):
                     if context is not None and context.power is self.power
                     else PrefixWeightOracle(self.power.alpha)
                 )
-            for jid, (r, rho) in self._released.items():
-                if r < release and jid not in self._in_oracle:
-                    if jid not in self._completed:
-                        raise SimulationError(
-                            f"FIFO invariant broken: job {jid} released before {release} "
-                            "has not completed when its successor starts"
-                        )
+            for jid, r, rho in ahead:
+                if jid not in self._in_oracle:
                     self._prefix_oracle.add_job(jid, r, rho, self._completed[jid])
                     self._in_oracle.add(jid)
             return self._prefix_oracle.weight_at(release)
 
-        prefix_jobs = []
-        for jid, (r, rho) in self._released.items():
-            if r < release:
-                if jid not in self._completed:
-                    raise SimulationError(
-                        f"FIFO invariant broken: job {jid} released before {release} "
-                        "has not completed when its successor starts"
-                    )
-                prefix_jobs.append(Job(jid, r, self._completed[jid], rho))
+        prefix_jobs = [Job(jid, r, self._completed[jid], rho) for jid, r, rho in ahead]
         if not prefix_jobs:
             return 0.0
         prefix = Instance(prefix_jobs)

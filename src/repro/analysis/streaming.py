@@ -18,9 +18,10 @@ events:
   ``replay_schedule`` + ``metrics.evaluate`` for one component.  It keeps the
   online Lemma 3 energy accumulator (segment energies summed in arrival
   order) and the online Lemma 4 flow accumulator (per-job remaining-volume
-  integrals advanced segment by segment), retiring each job's closed-form
-  state the moment its completion time is fixed.  No segment list is ever
-  stored.
+  integrals advanced segment by segment), admitting each job at the first
+  segment that ends after its release and retiring it the moment its
+  completion time is fixed, so each segment advances only the jobs whose
+  integral it can change.  No segment list is ever stored.
 * :class:`StreamingReportBuilder` — feeds one event at a time to the above
   and assembles the final :class:`~repro.analysis.trace_report.TraceReport`.
 
@@ -266,7 +267,11 @@ class IncrementalScheduleReplayer:
         self._jobs: dict[int, _JobState] = {
             job.job_id: _JobState(job) for job in self.instance
         }
-        self._active: dict[int, _JobState] = dict(self._jobs)
+        # Jobs enter the per-segment update set in release order (the
+        # instance's order), once a segment ends after their release (see
+        # _advance_jobs); the next one to admit sits at the end.
+        self._unreleased: list[_JobState] = list(reversed(self._jobs.values()))
+        self._active: dict[int, _JobState] = {}
 
     def reset(self) -> None:
         """A ``retry`` boundary: discard the failed attempt entirely."""
@@ -344,6 +349,17 @@ class IncrementalScheduleReplayer:
 
     def _advance_jobs(self, segment: Segment, seg_state: _JobState | None) -> None:
         """Advance every live job's completion scan and flow integral."""
+        # Admission: a segment with t1 <= release (the job's initial cursor)
+        # is one the integral loop skips, so a job joins the update set at
+        # the first segment ending after its release.  A job whose
+        # completion an earlier segment already fixed would have retired on
+        # that segment's skip, so it never joins.  Admission runs before the
+        # completion step below so that check sees only earlier segments.
+        unreleased = self._unreleased
+        while unreleased and unreleased[-1].job.release < segment.t1:
+            js = unreleased.pop()
+            if js.completion is None:
+                self._active[js.job.job_id] = js
         # Completion-time step first: the batch path knows each completion
         # before its integral pass, and the completing segment is clipped at
         # the completion found *within it*.

@@ -9,6 +9,16 @@ Definitions follow §2 of the paper exactly:
 
 Because segments carry analytic profiles, everything here is closed-form; the
 only numerics are sums.
+
+Complexity: with ``S`` segments and ``n`` jobs, :func:`evaluate` costs
+``O(S + n log S + Σ_j |window_j|)``.  Per-job volumes and completion times
+read the job's own segments from the schedule's lazily built per-job index,
+and each fractional-flow integral visits only ``window_j``, the run of
+segments between the job's release and its completion (found by bisection).
+The full segment tuple is walked a constant number of times per call (the
+index build, the energy sum and the validation scan), never once per job.
+The float operations on every visited segment are those of a full scan, in
+the same order, so the costs do not depend on the index.
 """
 
 from __future__ import annotations
@@ -129,11 +139,15 @@ def evaluate(
 def _remaining_volume_integral(
     schedule: Schedule, job_id: int, release: float, completion: float, volume: float
 ) -> float:
-    """``∫_{release}^{completion} V_j(t) dt`` computed exactly segment by segment."""
+    """``∫_{release}^{completion} V_j(t) dt`` computed exactly segment by segment.
+
+    Only the schedule's window between ``release`` and ``completion`` is
+    visited: every segment outside it fails the first test below anyway.
+    """
     total = 0.0
     remaining = volume
     cursor = release
-    for seg in schedule:
+    for seg in schedule.window(release, completion):
         if seg.t1 <= cursor or seg.t0 >= completion:
             continue
         a = max(seg.t0, cursor)

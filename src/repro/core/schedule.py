@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from scipy.integrate import quad
@@ -360,6 +362,11 @@ class Schedule:
 
     Gaps between consecutive segments are permitted (treated as idle); overlap
     is not.  Use :class:`ScheduleBuilder` to construct one incrementally.
+
+    Per-job and per-time queries read a :class:`_SegmentIndex` built on the
+    first such query; the schedule is immutable, so the index never goes
+    stale.  Each query visits only the segments it needs, in schedule order,
+    with the same float operations the full scan would perform on them.
     """
 
     def __init__(self, segments: Iterable[Segment]) -> None:
@@ -386,10 +393,14 @@ class Schedule:
     def end_time(self) -> float:
         return self._segments[-1].t1 if self._segments else 0.0
 
+    @cached_property
+    def _index(self) -> _SegmentIndex:
+        return _SegmentIndex(self._segments)
+
     # -- queries -------------------------------------------------------------
 
     def job_segments(self, job_id: int) -> tuple[Segment, ...]:
-        return tuple(s for s in self._segments if s.job_id == job_id)
+        return self._index.by_job.get(job_id, ())
 
     def processed_volume(self, job_id: int) -> float:
         return sum(s.volume() for s in self.job_segments(job_id))
@@ -397,9 +408,7 @@ class Schedule:
     def processed_volume_until(self, job_id: int, t: float) -> float:
         """Volume of ``job_id`` processed by absolute time ``t``."""
         total = 0.0
-        for s in self._segments:
-            if s.job_id != job_id:
-                continue
+        for s in self.job_segments(job_id):
             if s.t1 <= t:
                 total += s.volume()
             elif s.t0 < t:
@@ -411,9 +420,7 @@ class Schedule:
         reaches ``volume`` (within relative tolerance)."""
         remaining = volume
         last_end: float | None = None
-        for s in self._segments:
-            if s.job_id != job_id:
-                continue
+        for s in self.job_segments(job_id):
             v = s.volume()
             if v >= remaining * (1 - 1e-9):
                 return s.t0 + s.time_to_volume(min(remaining, v))
@@ -428,11 +435,32 @@ class Schedule:
             f"(processed {self.processed_volume(job_id)})"
         )
 
+    def window(self, start: float, end: float) -> tuple[Segment, ...]:
+        """The contiguous run of segments, in schedule order, that contains
+        every segment with ``t1 > start`` and ``t0 < end``.
+
+        Every segment before the run has ``t1 <= start`` and every segment
+        after it has ``t0 >= end``; segments inside the run may still miss
+        ``(start, end)`` by up to the overlap tolerance.
+        """
+        idx = self._index
+        lo = bisect_right(idx.reach, start)
+        hi = bisect_left(idx.t0s, end, lo)
+        return self._segments[lo:hi]
+
     def speed_at(self, t: float) -> float:
-        """Machine speed at absolute time ``t`` (0 in gaps / outside)."""
-        for s in self._segments:
-            if s.t0 <= t <= s.t1:
+        """Machine speed at absolute time ``t`` (0 in gaps / outside).
+
+        Segments are closed intervals; where two touch, the earlier wins.
+        """
+        idx = self._index
+        segs = self._segments
+        i = bisect_left(idx.reach, t)
+        while i < len(segs) and idx.t0s[i] <= t:
+            s = segs[i]
+            if t <= s.t1:
                 return s.speed_at(t)
+            i += 1
         return 0.0
 
     def job_at(self, t: float) -> int | None:
@@ -441,11 +469,42 @@ class Schedule:
         At segment boundaries the later segment wins, matching the convention
         that completions happen at the instant the boundary is reached.
         """
-        answer: int | None = None
-        for s in self._segments:
-            if s.t0 <= t < s.t1:
-                answer = s.job_id
-        return answer
+        idx = self._index
+        i = bisect_right(idx.t0s, t) - 1
+        while i >= 0 and idx.reach[i] > t:
+            if t < self._segments[i].t1:
+                return self._segments[i].job_id
+            i -= 1
+        return None
+
+
+class _SegmentIndex:
+    """Lookup tables over one schedule's segment tuple, built in one pass.
+
+    * ``by_job`` — each job's segments, in schedule order;
+    * ``t0s`` — segment start times (nondecreasing: the schedule is sorted);
+    * ``reach`` — running maximum of segment end times.  End times are only
+      monotone up to the overlap tolerance, so bisecting them directly could
+      skip a segment that ends after its successor; the running maximum is
+      monotone, and ``reach[i] <= t`` proves that no segment up to ``i`` ends
+      after ``t``.
+    """
+
+    __slots__ = ("by_job", "t0s", "reach")
+
+    def __init__(self, segments: tuple[Segment, ...]) -> None:
+        by_job: dict[int | None, list[Segment]] = {}
+        self.t0s: list[float] = []
+        self.reach: list[float] = []
+        top = -math.inf
+        for s in segments:
+            by_job.setdefault(s.job_id, []).append(s)
+            self.t0s.append(s.t0)
+            top = max(top, s.t1)
+            self.reach.append(top)
+        self.by_job: dict[int | None, tuple[Segment, ...]] = {
+            job_id: tuple(segs) for job_id, segs in by_job.items()
+        }
 
 
 class ScheduleBuilder:

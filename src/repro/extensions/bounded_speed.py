@@ -182,10 +182,10 @@ def simulate_nc_uniform_capped(
     revealed = 0
     builder = ScheduleBuilder()
     t = 0.0
-    for job in instance:  # FIFO
+    for k, job in enumerate(jobs):  # FIFO: every job ahead of j is revealed
         start = max(t, job.release)
         rho = job.density
-        while revealed < len(jobs) and jobs[revealed].release < job.release:
+        while revealed < k:
             prev = jobs[revealed]
             vol = prev.volume
             if filt is not None:

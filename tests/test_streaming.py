@@ -33,7 +33,9 @@ from repro.analysis.trace_report import (
 )
 from repro.core.errors import ScheduleError
 from repro.core.job import Instance, Job
+from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
+from repro.core.schedule import ConstantSegment, Schedule
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import (
     JsonlRecorder,
@@ -351,3 +353,54 @@ class TestBoundedMemory:
         assert pulls == len(events)
         assert report.n_events == len(events)
         assert report.ok
+
+
+def _const(t0: float, t1: float, job: int) -> dict:
+    """A unit-speed ``kernel_eval`` payload."""
+    return {"profile": "const", "t0": t0, "t1": t1, "job": job, "speed": 1.0}
+
+
+class TestReleaseOrderAdmission:
+    """The replayer only advances the integrals of released jobs."""
+
+    def test_integral_steps_linear_in_segments(self):
+        """Jobs released at 0, 2, 4, ... each run at once: every segment
+        advances one job's integral, not every job's."""
+        n = 60
+        inst = Instance([Job(k, 2.0 * k, 1.0, 1.0) for k in range(n)])
+        segments = [_const(2.0 * k, 2.0 * k + 1.0, k) for k in range(n)]
+        steps = 0
+        replayer = IncrementalScheduleReplayer("C", inst, PowerLaw(3.0))
+        advance = replayer._advance_integral
+
+        def counted(js, seg):
+            nonlocal steps
+            steps += 1
+            return advance(js, seg)
+
+        replayer._advance_integral = counted
+        for payload in segments:
+            replayer.feed(payload)
+        assert steps == n
+
+    def test_job_completed_before_its_release_within_tolerance(self):
+        """A job whose only segment ends inside the 1e-9 early-start slack
+        before its release never joins the update set, exactly as the batch
+        integral skips it."""
+        start = 1.0 - 5e-10
+        inst = Instance([Job(0, 0.0, start, 1.0), Job(1, 1.0, 4e-10, 1.0), Job(2, 0.5, 1.0, 1.0)])
+        segments = [
+            _const(0.0, start, 0),
+            _const(start, start + 4e-10, 1),
+            _const(start + 4e-10, start + 4e-10 + 1.0, 2),
+        ]
+        replayer = IncrementalScheduleReplayer("C", inst, PowerLaw(3.0))
+        for payload in segments:
+            replayer.feed(payload)
+        replayer.finalize_replay()
+        energy, flow = replayer.finalize_eval()
+        schedule = Schedule(ConstantSegment(p["t0"], p["t1"], p["job"], 1.0) for p in segments)
+        report = evaluate(schedule, inst, PowerLaw(3.0))
+        assert energy == report.energy
+        assert flow == report.fractional_flow
+        assert report.fractional_flow_by_job[1] == 0.0
